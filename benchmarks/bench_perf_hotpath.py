@@ -66,7 +66,6 @@ def measure_load_point(
     seed: int = SEED,
     route_cache: bool | None = None,
     shards: int = 0,
-    fastpath: bool | None = None,
 ) -> dict:
     """One load-test point; returns wall clock, event count and rates.
 
@@ -74,24 +73,8 @@ def measure_load_point(
     tree supports them (pre-optimization revisions ignore it), so the
     routing layer's contribution can be isolated in-place.  ``shards``
     >= 2 runs on the sharded scheduler backend (model outputs must be
-    byte-identical; see docs/sharding.md).  ``fastpath`` pins the
-    hot-path batching toggle (docs/hotpath.md) for the whole
-    construction + run (the toggle is captured at construction);
-    ``None`` leaves the ambient setting, and pre-fastpath revisions
-    ignore it.
+    byte-identical; see docs/sharding.md).
     """
-    if fastpath is not None:
-        try:
-            from repro.fastpath import toggled
-        except ImportError:  # pre-fastpath baseline revision
-            toggled = None
-        if toggled is not None:
-            with toggled(fastpath):
-                return measure_load_point(
-                    n_cpus=n_cpus, outstanding=outstanding,
-                    warmup_ns=warmup_ns, window_ns=window_ns, seed=seed,
-                    route_cache=route_cache, shards=shards,
-                )
     system = GS1280System(n_cpus, shards=shards)
     if route_cache is not None and hasattr(system.topology, "route_cache_enabled"):
         system.topology.route_cache_enabled = route_cache
@@ -110,13 +93,7 @@ def measure_load_point(
     )
     wall_s = time.perf_counter() - start
     events = system.sim.events_processed
-    try:
-        from repro.fastpath import is_enabled
-        fastpath_state = is_enabled()
-    except ImportError:  # pre-fastpath baseline revision
-        fastpath_state = None
     return {
-        "fastpath": fastpath_state,
         "n_cpus": n_cpus,
         "outstanding": outstanding,
         "warmup_ns": warmup_ns,
@@ -179,7 +156,6 @@ def quick_smoke() -> int:
 
 def gate(baseline_path: str, tolerance: float, repeat: int,
          out: str | None, shard_identity: int = 0,
-         fastpath_identity: bool = False,
          before_path: str | None = None) -> int:
     """Benchmark-regression gate: fail when the tree is more than
     ``tolerance`` slower than the recorded baseline.
@@ -197,15 +173,10 @@ def gate(baseline_path: str, tolerance: float, repeat: int,
     outputs are byte-identical to the single-heap side; the sharded
     measurement (and its wall-clock ratio) is recorded in the report.
 
-    ``fastpath_identity`` additionally re-runs the point with the
-    hot-path batching pass disabled (the scalar oracle path,
-    docs/hotpath.md) and fails unless completed transactions, latency
-    and the event count are byte-identical; the scalar measurement and
-    the on/off wall-clock ratio are recorded.  ``before_path`` merges a
-    same-host baseline measurement (captured on the pre-optimization
-    revision with ``--measure``) as the report's "before" side, so the
-    committed report carries an honest wall-clock speedup next to the
-    cross-host events/sec gate ratio.
+    ``before_path`` merges a same-host baseline measurement (captured
+    on the pre-optimization revision with ``--measure``) as the
+    report's "before" side, so the committed report carries an honest
+    wall-clock speedup next to the cross-host events/sec gate ratio.
     """
     baseline = json.loads(Path(baseline_path).read_text())
     if "after" in baseline:
@@ -246,38 +217,6 @@ def gate(baseline_path: str, tolerance: float, repeat: int,
                 f"{fresh['completed']} -> {sharded['completed']}, events "
                 f"{fresh['events']} -> {sharded['events']}, latency "
                 f"{fresh['latency_ns']!r} -> {sharded['latency_ns']!r}"
-            )
-    if fastpath_identity:
-        # Interleave the two toggle states run by run: a 1-core host
-        # drifts by more than the toggle's effect size over a whole
-        # best-of leg, so sequential legs would measure host weather.
-        scalar_runs, toggled_runs = [], []
-        for _ in range(repeat):
-            scalar_runs.append(measure_load_point(fastpath=False))
-            toggled_runs.append(measure_load_point(fastpath=True))
-        scalar = min(scalar_runs, key=lambda r: r["wall_s"])
-        fast_on = min(toggled_runs, key=lambda r: r["wall_s"])
-        identical = (
-            scalar["completed"] == fresh["completed"]
-            and scalar["latency_ns"] == fresh["latency_ns"]
-            and scalar["events"] == fresh["events"]
-        )
-        report["fastpath_off"] = scalar
-        report["fastpath_on_interleaved"] = fast_on
-        report["fastpath_identity"] = identical
-        report["speedup_fastpath_wall"] = (
-            scalar["wall_s"] / fast_on["wall_s"]
-        )
-        print(f"fastpath identity: {'ok' if identical else 'DIVERGED'}; "
-              f"scalar wall {scalar['wall_s']:.2f}s vs fastpath "
-              f"{fast_on['wall_s']:.2f}s "
-              f"({report['speedup_fastpath_wall']:.2f}x, interleaved)")
-        if not identical:
-            failures.append(
-                f"fastpath diverged from the scalar path: completed "
-                f"{fresh['completed']} -> {scalar['completed']}, events "
-                f"{fresh['events']} -> {scalar['events']}, latency "
-                f"{fresh['latency_ns']!r} -> {scalar['latency_ns']!r}"
             )
     if before_path:
         before = json.loads(Path(before_path).read_text())
@@ -348,11 +287,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="with --gate: also run the point on the "
                              "sharded backend with N shards and fail "
                              "unless model outputs are byte-identical")
-    parser.add_argument("--fastpath-identity", action="store_true",
-                        help="with --gate: also run the point with the "
-                             "hot-path batching pass disabled and fail "
-                             "unless model outputs and event counts "
-                             "are byte-identical")
     parser.add_argument("--before", metavar="PATH",
                         help="with --gate: merge this same-host "
                              "baseline measurement as the report's "
@@ -385,7 +319,6 @@ def _dispatch(args) -> int:
         out = args.out if args.out != "BENCH_PR1.json" else None
         return gate(args.gate, args.tolerance, args.repeat, out,
                     shard_identity=args.shard_identity,
-                    fastpath_identity=args.fastpath_identity,
                     before_path=args.before)
 
     if args.measure:

@@ -1,8 +1,8 @@
 """The differential oracle: cross-checks between independent paths that
 claim the same answer.
 
-Three kinds of redundancy already exist in this package, and each is a
-free correctness oracle:
+Four kinds of redundancy exist in this package, and each is a free
+correctness oracle:
 
 1. **Analytic vs event-driven** -- the fast-mode closed-form models and
    the discrete-event machines describe the same quantities
@@ -19,17 +19,9 @@ free correctness oracle:
    (:class:`repro.sim.sharded.ShardedSimulator`) promises byte-identical
    observable event order (docs/sharding.md); the oracle proves it on a
    Figure-15 load point, with and without a mid-run fault schedule.
-5. **Fastpath on vs off** -- the hot-path batching pass
-   (:mod:`repro.fastpath`, docs/hotpath.md) promises byte-identical
-   results and event counts with the toggle in either state, on both
-   scheduler backends; the oracle proves it on the same Figure-15 load
-   point.  This leg runs *outside* the armed check session: an attached
-   checker intentionally disables the coalesced paths (they skip its
-   per-event callback), which would make the comparison vacuous.
 
 ``gs1280-repro oracle`` runs all of them, with the invariant checkers
-armed throughout (except the fastpath leg, see above), and exits
-non-zero on any discrepancy.
+armed throughout, and exits non-zero on any discrepancy.
 """
 
 from __future__ import annotations
@@ -42,7 +34,6 @@ from repro.check.session import checking
 __all__ = [
     "OracleRow",
     "TOLERANCE_PCT",
-    "fastpath_identity_rows",
     "format_oracle",
     "run_oracle",
     "shard_identity_rows",
@@ -186,37 +177,8 @@ def shard_identity_rows(fast: bool, shards: int = 4) -> list[OracleRow]:
     return rows
 
 
-def fastpath_identity_rows(fast: bool, shards: int = 2) -> list[OracleRow]:
-    """The fastpath-on-vs-off byte-compare legs: same Figure-15 load
-    point, toggle flipped, across both scheduler backends and with a
-    mid-run fault schedule.  Must run *outside* an armed check session
-    (the checker disables the coalesced paths, making on == off hold
-    trivially rather than proving anything)."""
-    from repro import fastpath
-
-    rows = []
-    for backend, backend_label in ((0, "single-heap"),
-                                   (shards, f"{shards}-shard")):
-        for with_faults, label in ((False, "healthy"),
-                                   (True, "fault schedule")):
-            with fastpath.disabled():
-                off = _fig15_signature(backend, fast, with_faults)
-            with fastpath.enabled():
-                on = _fig15_signature(backend, fast, with_faults)
-            same = on == off
-            rows.append(OracleRow(
-                check=(f"identity: fastpath on == off "
-                       f"[fig15, {backend_label}, {label}]"),
-                detail=(f"results + counters + event counts "
-                        f"{'byte-identical' if same else 'DIFFER'}"),
-                ok=same,
-            ))
-    return rows
-
-
 def run_oracle(fast: bool = True, jobs: int = 2) -> dict:
-    """Run every differential check (invariant checkers armed for all
-    of them except the fastpath leg, which the checker would disarm);
+    """Run every differential check with the invariant checkers armed;
     returns ``{"rows": [...], "ok": bool}``."""
     with checking() as sess:
         rows = _analytic_rows(fast)
@@ -229,8 +191,6 @@ def run_oracle(fast: bool = True, jobs: int = 2) -> dict:
         detail=f"{checks} checks, 0 violations",
         ok=True,  # a violation would have raised
     ))
-    # Outside the session on purpose: see fastpath_identity_rows.
-    rows.extend(fastpath_identity_rows(fast))
     return {"rows": rows, "ok": all(r.ok for r in rows)}
 
 

@@ -446,7 +446,6 @@ def _run_bench(args) -> int:
     """
     import time
 
-    from repro import fastpath
     from repro.sim import RngFactory
     from repro.systems import GS1280System
     from repro.workloads.closed_loop import run_closed_loop
@@ -467,30 +466,25 @@ def _run_bench(args) -> int:
                                  warmup_ns=warmup_ns, window_ns=window_ns)
         return system, result
 
-    # --no-fastpath forces the scalar path; otherwise the ambient
-    # setting (GS1280_FASTPATH) stands rather than being overridden.
-    fast = fastpath.is_enabled() and not args.no_fastpath
-    with fastpath.toggled(fast):
-        if args.profile:
-            import cProfile
-            import pstats
+    if args.profile:
+        import cProfile
+        import pstats
 
-            profiler = cProfile.Profile()
-            start = time.perf_counter()
-            profiler.enable()
-            system, result = run_point()
-            profiler.disable()
-            wall_s = time.perf_counter() - start
-            stats = pstats.Stats(profiler).sort_stats("tottime")
-            stats.print_stats(args.profile)
-        else:
-            start = time.perf_counter()
-            system, result = run_point()
-            wall_s = time.perf_counter() - start
+        profiler = cProfile.Profile()
+        start = time.perf_counter()
+        profiler.enable()
+        system, result = run_point()
+        profiler.disable()
+        wall_s = time.perf_counter() - start
+        stats = pstats.Stats(profiler).sort_stats("tottime")
+        stats.print_stats(args.profile)
+    else:
+        start = time.perf_counter()
+        system, result = run_point()
+        wall_s = time.perf_counter() - start
 
     events = system.sim.events_processed
-    print(f"bench: {n_cpus}P load point, fastpath "
-          f"{'on' if fast else 'off'}: "
+    print(f"bench: {n_cpus}P load point: "
           f"{events:,} events in {wall_s:.2f}s "
           f"({events / wall_s:,.0f} events/s), "
           f"{result.completed:,} transactions, "
@@ -751,9 +745,6 @@ def main(argv: list[str] | None = None) -> int:
     bench_p.add_argument("--quick", action="store_true",
                          help="16P with short windows (smoke/profile "
                               "shape, not a benchmark)")
-    bench_p.add_argument("--no-fastpath", action="store_true",
-                         help="run with the hot-path batching pass "
-                              "disabled (the scalar oracle path)")
     bench_p.add_argument("--shards", type=int, default=0,
                          help="run on the sharded backend with N "
                               "shards (default: single heap)")

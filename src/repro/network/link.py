@@ -21,7 +21,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable
 
-from repro import fastpath
 from repro.network.packet import MessageClass, Packet
 from repro.sim.backend import SchedulerView
 
@@ -56,7 +55,6 @@ class Link:
         "_busy",
         "_seq",
         "_priority_streak",
-        "_fast",
         "_post",
         "_dst_post",
         "_wire_free_cb",
@@ -114,9 +112,6 @@ class Link:
         self._busy = False
         self._seq = 0
         self._priority_streak = 0
-        # Fastpath toggle, captured at construction (repro.fastpath):
-        # gates the express-transmit branch in submit().
-        self._fast = fastpath.is_enabled()
         # Prebound so the per-packet calls skip descriptor lookup and
         # bound-method creation.
         self._post = sim.post
@@ -162,33 +157,6 @@ class Link:
         """
         if self.dead:
             self._drop(packet)
-            return
-        if (self._fast and not self._busy and not self._queued_count
-                and self.class_priority and self._stall_counters is None
-                and self._check is None):
-            # Express transmit: the wire is idle and nothing is queued,
-            # so enqueue + _pick_next would trivially pop this packet
-            # right back.  Replicate that composition field-by-field
-            # (docs/hotpath.md walks the identity proof) without
-            # touching the VC deques.  Disabled whenever telemetry or a
-            # checker wants per-packet visibility, or under the FIFO
-            # ablation (class_priority=False, whose picker differs).
-            self._seq += 1
-            self._priority_streak = 0
-            sim = self.sim
-            size = packet.size_bytes
-            self._busy = True
-            ser_ns = size / self.bandwidth_gbps  # GB/s == bytes/ns
-            self.busy_until = sim.now + ser_ns
-            self.busy_ns_total += ser_ns
-            self.bytes_total += size
-            self.packets_total += 1
-            head_delay = self.wire_ns + (
-                ser_ns if not packet.serialized else 0.0
-            )
-            packet.serialized = True
-            self._dst_post(head_delay, on_arrival, packet)
-            self._post(ser_ns, self._wire_free_cb)
             return
         self._queues[packet.msg_class].append((self._seq, packet, on_arrival))
         self._seq += 1

@@ -13,7 +13,7 @@ their own state machines, which keeps the hot path free of generator
 overhead (this matters -- large load-test runs schedule millions of
 events).
 
-Three hot-path representations keep the per-event cost down:
+Three choices shape the hot path:
 
 * Queues hold plain tuples rather than event objects, so every sift
   comparison is a C-level tuple compare instead of a Python ``__lt__``
@@ -28,15 +28,15 @@ Three hot-path representations keep the per-event cost down:
   (same two tuple shapes); the run loop merges the two sources by
   ``(time, seq)`` so observable ordering is identical to an all-heap
   kernel.
-* With the :mod:`repro.fastpath` toggle on (captured at construction),
-  the run loop **coalesces zero-delay bursts**: once the deque's head
-  is strictly earlier than the heap's head, the whole same-timestamp
-  chain drains in one tight loop with no further heap comparisons.
-  Safe because during a burst at time *t* every new heap push carries
-  time > *t* (positive delays only) and cancellations only *raise* the
-  heap's head time -- see docs/hotpath.md for the full argument.  The
-  per-event counters still update inside the burst, so ``pending`` /
-  ``stats()`` stay mid-run exact (PR 6's counter-exactness contract).
+* Events fire **one at a time** through a single merge loop, whether
+  they come from the heap or the deque.  The loop updates the fired
+  counter per event, so ``pending`` / ``stats()`` read from inside a
+  callback are exact, and it is the same loop with or without an
+  attached invariant checker or a ``max_events`` limit.  The golden
+  pins and the differential oracle are defined against this loop, so
+  it stays the only one: a specialised shape (a heap-only tight loop,
+  coalesced zero-delay bursts) would be a second path to keep
+  identical to it.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from collections import deque
 from heapq import heappop as _heappop, heappush as _heappush
 from typing import Any, Callable
 
-from repro import fastpath
 from repro.sim.backend import SchedulerBackend
 
 __all__ = ["Event", "Simulator", "SimulationError"]
@@ -123,7 +122,6 @@ class Simulator(SchedulerBackend):
         "now",
         "_queue",
         "_immediate",
-        "_fast",
         "_seq",
         "_cancelled",
         "_events_processed",
@@ -140,9 +138,6 @@ class Simulator(SchedulerBackend):
         # Zero-delay events: appended in seq order at non-decreasing
         # ``now``, so the deque is always sorted by (time, seq).
         self._immediate: deque[tuple] = deque()
-        # Fastpath toggle, captured at construction (repro.fastpath):
-        # gates zero-delay burst coalescing in run().
-        self._fast = fastpath.is_enabled()
         self._seq: int = 0
         self._cancelled: int = 0
         self._events_processed: int = 0
@@ -278,51 +273,12 @@ class Simulator(SchedulerBackend):
         queue = self._queue
         pop = _heappop
         chk = self._check
-        # Zero-delay burst coalescing and the heap-only tight loop are
-        # legal only on unchecked, uncounted runs: the checker wants its
-        # per-event callback and ``max_events`` needs a per-event limit
-        # check.  Both fall back to the reference one-event-at-a-time
-        # path below.
-        burst_ok = self._fast and chk is None and not counting
         # ``until`` as a float sentinel: a finite event time never
-        # exceeds +inf, so the tight loop pays one compare, not an
-        # is-None test plus a compare.
+        # exceeds +inf, so the loop pays one compare, not an is-None
+        # test plus a compare.
         limit = _INF if until is None else until
         try:
             while True:
-                if burst_ok:
-                    # Heap-only tight loop: the steady state of the load
-                    # tests (every hot-path delay is positive, so the
-                    # immediate deque stays empty).  No source merge is
-                    # needed until a zero-delay post shows up, and the
-                    # pop-first shape touches each entry once -- the
-                    # rare limit overshoot pushes the entry back, which
-                    # cannot change pop order ((time, seq) is unique, so
-                    # order is independent of the heap's internal
-                    # arrangement).
-                    while queue and not imm:
-                        entry = pop(queue)
-                        if len(entry) == 4:
-                            etime = entry[0]
-                            if etime > limit:
-                                _heappush(queue, entry)
-                                self.now = until
-                                return
-                            self.now = etime
-                            self._events_processed += 1
-                            entry[2](*entry[3])
-                        else:
-                            event = entry[2]
-                            if event.cancelled:
-                                continue
-                            etime = entry[0]
-                            if etime > limit:
-                                _heappush(queue, entry)
-                                self.now = until
-                                return
-                            self.now = etime
-                            self._events_processed += 1
-                            event.fn(*event.args)
                 # Inlined _peek(): this loop is the simulator's hottest
                 # code; one extra function call per event is measurable.
                 while imm and len(imm[0]) == 3 and imm[0][2].cancelled:
@@ -349,40 +305,14 @@ class Simulator(SchedulerBackend):
                 else:
                     break
                 if counting and processed >= max_events:
-                    if until is not None and etime > until and until > self.now:
+                    if etime > limit and until > self.now:
                         self.now = until
                     return
-                if until is not None and etime > until:
+                if etime > limit:
                     self.now = until
                     return
                 if from_immediate:
                     imm.popleft()
-                    if burst_ok and (not queue or queue[0][0] > etime):
-                        # Coalesced zero-delay burst: every deque entry
-                        # fires at exactly ``etime`` (appended at
-                        # now == etime), new heap pushes carry strictly
-                        # later times (positive delays only) and
-                        # cancellations only *raise* the heap head, so
-                        # the whole same-timestamp chain drains with no
-                        # further heap comparison.  The fired counter
-                        # still updates per event: ``pending`` /
-                        # ``stats()`` sampled from inside a burst stay
-                        # exact.
-                        self.now = etime
-                        while True:
-                            self._events_processed += 1
-                            if len(entry) == 4:
-                                entry[2](*entry[3])
-                            else:
-                                event = entry[2]
-                                event.fn(*event.args)
-                            while (imm and len(imm[0]) == 3
-                                    and imm[0][2].cancelled):
-                                imm.popleft()
-                            if not imm:
-                                break
-                            entry = imm.popleft()
-                        continue
                 else:
                     pop(queue)
                 if chk is not None:

@@ -44,12 +44,10 @@ with same-time shard events precisely as the single heap would.
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from heapq import heappop as _heappop, heappush as _heappush
 from typing import Any, Callable, Sequence
 
-from repro import fastpath
 from repro.sim.backend import SchedulerBackend
 from repro.sim.engine import Event, SimulationError
 
@@ -69,7 +67,7 @@ class ShardSim:
     element 2 and the shapes mix freely)."""
 
     __slots__ = (
-        "index", "now", "_heap", "_immediate", "_inbox", "_inbox_lock",
+        "index", "now", "_heap", "_immediate", "_inbox",
         "_scheduled", "_processed", "_cancelled",
         "_exec_time", "_exec_key", "_exec_child",
     )
@@ -82,7 +80,6 @@ class ShardSim:
         #: Cross-shard mailbox: entries appended by *other* shards
         #: mid-window, folded into the heap at the next barrier.
         self._inbox: list[tuple] = []
-        self._inbox_lock = threading.Lock()
         self._scheduled = 0
         self._processed = 0
         self._cancelled = 0
@@ -129,54 +126,16 @@ class ShardSim:
             inbox.clear()
 
     # -- window execution (the sharded hot loop) -------------------------
-    def run_window(self, end: float, inclusive: bool,
-                   co: "ShardedSimulator", chk) -> None:
+    def run_window(self, end: float, inclusive: bool, chk) -> None:
         """Execute every pending event with time < ``end`` (<= when
-        ``inclusive``).  Mirrors ``Simulator.run``'s inlined loop; the
-        conservative lookahead guarantees no other shard can schedule
-        into this window, so no merge is needed until the barrier."""
+        ``inclusive``), one at a time.  Mirrors ``Simulator.run``'s
+        merge loop; the conservative lookahead guarantees no other shard
+        can schedule into this window, so no merge is needed until the
+        barrier."""
         imm = self._immediate
         heap = self._heap
         pop = _heappop
-        # Burst coalescing mirrors Simulator.run's fastpath (same proof:
-        # a window never observes other shards' pushes -- cross-shard
-        # arrivals ride the inbox -- so within the window the single
-        # heap's argument applies verbatim).
-        burst_ok = co._fast and chk is None
         while True:
-            if burst_ok:
-                # Heap-only tight loop, mirroring Simulator.run: while
-                # the immediate deque stays empty no source merge is
-                # needed, and a window-limit overshoot pushes the entry
-                # back (pop order is independent of heap arrangement --
-                # (time, key) is unique).
-                while heap and not imm:
-                    entry = pop(heap)
-                    if len(entry) == 4:
-                        etime = entry[0]
-                        if etime > end or (etime == end and not inclusive):
-                            _heappush(heap, entry)
-                            return
-                        self.now = etime
-                        self._processed += 1
-                        self._exec_time = etime
-                        self._exec_key = entry[1]
-                        self._exec_child = 0
-                        entry[2](*entry[3])
-                    else:
-                        event = entry[2]
-                        if event.cancelled:
-                            continue
-                        etime = entry[0]
-                        if etime > end or (etime == end and not inclusive):
-                            _heappush(heap, entry)
-                            return
-                        self.now = etime
-                        self._processed += 1
-                        self._exec_time = etime
-                        self._exec_key = entry[1]
-                        self._exec_child = 0
-                        event.fn(*event.args)
             while imm and len(imm[0]) == 3 and imm[0][2].cancelled:
                 imm.popleft()
             while heap and len(heap[0]) == 3 and heap[0][2].cancelled:
@@ -204,28 +163,6 @@ class ShardSim:
                 return
             if from_immediate:
                 imm.popleft()
-                if burst_ok and (not heap or heap[0][0] > etime):
-                    # Coalesced zero-delay burst: the executing-event
-                    # context still updates per event, so child keys
-                    # match the one-at-a-time reference exactly.
-                    self.now = etime
-                    while True:
-                        self._processed += 1
-                        self._exec_time = etime
-                        self._exec_key = entry[1]
-                        self._exec_child = 0
-                        if len(entry) == 4:
-                            entry[2](*entry[3])
-                        else:
-                            event = entry[2]
-                            event.fn(*event.args)
-                        while (imm and len(imm[0]) == 3
-                                and imm[0][2].cancelled):
-                            imm.popleft()
-                        if not imm:
-                            break
-                        entry = imm.popleft()
-                    continue
             else:
                 pop(heap)
             if chk is not None:
@@ -292,14 +229,9 @@ class ShardedSimulator(SchedulerBackend):
     both for a torus).  ``mailbox_capacity`` bounds each shard's
     cross-shard inbox; overflow raises rather than growing silently.
 
-    ``executor="serial"`` (default) runs shard windows one after
-    another on the calling thread -- the deterministic reference, and
-    the fastest choice under CPython's GIL on a single core.
-    ``executor="threads"`` fans windows over a thread pool; results are
-    identical for fault-free runs without a checker or tracer attached
-    (the coordinator falls back to serial whenever a checker is
-    attached), and only pays off on multi-core hosts running a build
-    where shard windows release the GIL.
+    Shard windows run one after another on the calling thread.  Under
+    CPython's GIL a thread fan-out of pure-Python windows cannot run in
+    parallel, so the serial window loop is the only executor.
     """
 
     def __init__(
@@ -307,14 +239,11 @@ class ShardedSimulator(SchedulerBackend):
         partitions: Sequence[Sequence[int]],
         lookahead_ns: float,
         mailbox_capacity: int = 1 << 20,
-        executor: str = "serial",
     ) -> None:
         if len(partitions) < 2:
             raise ValueError("sharding needs at least two partitions")
         if lookahead_ns <= 0.0:
             raise ValueError("lookahead must be positive")
-        if executor not in ("serial", "threads"):
-            raise ValueError(f"unknown executor {executor!r}")
         seen: set[int] = set()
         for part in partitions:
             if not part:
@@ -327,7 +256,6 @@ class ShardedSimulator(SchedulerBackend):
             raise ValueError("partitions must cover nodes 0..N-1 exactly")
         self.lookahead_ns = lookahead_ns
         self.mailbox_capacity = mailbox_capacity
-        self.executor = executor
         self._shards = [ShardSim(i) for i in range(len(partitions))]
         #: Global queue (shard -1): coordinator-level schedules (fault
         #: injectors, samplers).  Executes only at full sync points.
@@ -348,10 +276,6 @@ class ShardedSimulator(SchedulerBackend):
         self._exec_shard: ShardSim | None = None
         self._in_window = False
         self._window_end = 0.0
-        self._threads_live = False
-        self._fast = fastpath.is_enabled()
-        self._tls = threading.local()
-        self._pool = None
         self._check = None
         self._reset_hooks: list[Callable[[], None]] = []
         #: Windows executed and barrier merges performed (introspection
@@ -395,15 +319,9 @@ class ShardedSimulator(SchedulerBackend):
     def post(self, delay: float, fn: Callable[..., Any], *args) -> None:
         self._post_on(self._global, delay, fn, args)
 
-    def _executing(self) -> ShardSim | None:
-        ex = self._exec_shard
-        if ex is None and self._threads_live:
-            ex = getattr(self._tls, "shard", None)
-        return ex
-
     def _schedule_at_on(self, shard: ShardSim, time: float,
                         fn: Callable[..., Any], args: tuple) -> Event:
-        ex = self._executing()
+        ex = self._exec_shard
         base = ex.now if ex is not None else self._now
         if time < base:
             raise SimulationError(
@@ -415,7 +333,7 @@ class ShardedSimulator(SchedulerBackend):
                      fn: Callable[..., Any], args: tuple) -> Event:
         if delay < 0.0:
             raise SimulationError(f"negative delay {delay!r}")
-        ex = self._executing()
+        ex = self._exec_shard
         if ex is None:
             # Root: scheduled at a barrier (construction or between
             # runs); the empty ancestry tuple sorts it before every
@@ -461,11 +379,7 @@ class ShardedSimulator(SchedulerBackend):
                     f"shard {shard.index} mailbox overflow "
                     f"(capacity {self.mailbox_capacity})"
                 )
-            if self._threads_live:
-                with shard._inbox_lock:
-                    inbox.append((time, key, event))
-            else:
-                inbox.append((time, key, event))
+            inbox.append((time, key, event))
         return event
 
     def _post_on(self, shard: ShardSim, delay: float,
@@ -478,7 +392,7 @@ class ShardedSimulator(SchedulerBackend):
         either way."""
         if delay < 0.0:
             raise SimulationError(f"negative delay {delay!r}")
-        ex = self._executing()
+        ex = self._exec_shard
         if ex is None:
             now = self._now
             key = (self._epoch, now, (), self._root_seq)
@@ -511,11 +425,7 @@ class ShardedSimulator(SchedulerBackend):
                     f"shard {shard.index} mailbox overflow "
                     f"(capacity {self.mailbox_capacity})"
                 )
-            if self._threads_live:
-                with shard._inbox_lock:
-                    inbox.append((time, key, fn, args))
-            else:
-                inbox.append((time, key, fn, args))
+            inbox.append((time, key, fn, args))
 
     # -- execution -------------------------------------------------------
     def _drain_mailboxes(self) -> None:
@@ -573,45 +483,12 @@ class ShardedSimulator(SchedulerBackend):
         self._window_end = end
         self._in_window = True
         try:
-            if (self.executor == "threads" and chk is None
-                    and len(self._shards) > 1):
-                self._run_windows_threaded(end, inclusive)
-            else:
-                for shard in self._shards:
-                    self._exec_shard = shard
-                    shard.run_window(end, inclusive, self, chk)
+            for shard in self._shards:
+                self._exec_shard = shard
+                shard.run_window(end, inclusive, chk)
         finally:
             self._exec_shard = None
             self._in_window = False
-
-    def _run_windows_threaded(self, end: float, inclusive: bool) -> None:
-        from repro.parallel import shard_worker_pool
-
-        pool = self._pool
-        if pool is None:
-            pool = self._pool = shard_worker_pool(len(self._shards))
-        if pool is None:  # platform refused threads: degrade serially
-            for shard in self._shards:
-                self._exec_shard = shard
-                shard.run_window(end, inclusive, self, None)
-            self._exec_shard = None
-            return
-        self._threads_live = True
-        try:
-            pool.run([
-                (self._window_worker, (shard, end, inclusive))
-                for shard in self._shards
-            ])
-        finally:
-            self._threads_live = False
-
-    def _window_worker(self, shard: ShardSim, end: float,
-                       inclusive: bool) -> None:
-        self._tls.shard = shard
-        try:
-            shard.run_window(end, inclusive, self, None)
-        finally:
-            self._tls.shard = None
 
     def run(self, until: float | None = None,
             max_events: int | None = None) -> None:
@@ -619,7 +496,7 @@ class ShardedSimulator(SchedulerBackend):
 
         Semantics match ``Simulator.run(until)``: ``until`` is
         inclusive and ``now`` lands exactly on it.  ``max_events`` has
-        no deterministic meaning across concurrent shard windows and is
+        no deterministic meaning across independent shard windows and is
         rejected; use the single-heap backend for truncated runs."""
         if max_events is not None:
             raise SimulationError(
@@ -777,10 +654,3 @@ class ShardedSimulator(SchedulerBackend):
         self._root_seq = 0
         self.windows_run = 0
         self.barrier_merges = 0
-
-    def close(self) -> None:
-        """Shut down the thread pool, if one was created."""
-        pool = self._pool
-        if pool is not None:
-            self._pool = None
-            pool.close()

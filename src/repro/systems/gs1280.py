@@ -36,7 +36,6 @@ class GS1280System(SystemBase):
         retry: RetryPolicy | None = None,
         fault_schedule: FaultSchedule | None = None,
         shards: int = 0,
-        shard_executor: str = "serial",
     ) -> None:
         config = config or GS1280Config.build(n_cpus)
         shape = shape or torus_shape_for(n_cpus)
@@ -56,9 +55,7 @@ class GS1280System(SystemBase):
             lookahead = partition_lookahead_ns(
                 topology, partitions, config.wire_ns
             )
-            sim = ShardedSimulator(
-                partitions, lookahead, executor=shard_executor
-            )
+            sim = ShardedSimulator(partitions, lookahead)
         elif shards < 0:
             raise ValueError(f"shards must be >= 0, got {shards}")
         # shards in (0, 1) means the single-heap backend.

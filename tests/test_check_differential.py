@@ -42,23 +42,14 @@ class TestOracle:
                 f"sharded == single-heap [fig15, {label}]" in c
                 for c in checks
             )
-        for backend in ("single-heap", "2-shard"):
-            for label in ("healthy", "fault schedule"):
-                assert any(
-                    f"fastpath on == off [fig15, {backend}, {label}]" in c
-                    for c in checks
-                )
 
     def test_invariants_armed_throughout(self, report):
         rows = [r for r in report["rows"] if "invariants" in r.check]
         assert len(rows) == 1
         armed = rows[0]
-        # The invariants row closes the armed-checker session; only the
-        # fastpath identity legs run after it (they must sit outside the
-        # session, where the checker would force both sides scalar).
-        after = report["rows"][report["rows"].index(armed) + 1:]
-        assert after
-        assert all("fastpath on == off" in r.check for r in after)
+        # The invariants row closes the armed-checker session, so every
+        # other leg ran with the checkers armed.
+        assert report["rows"][-1] is armed
         # The oracle builds real event-driven machines; the checkers
         # must have actually fired on them.
         n_checks = int(armed.detail.split()[0])

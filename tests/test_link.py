@@ -104,3 +104,47 @@ def test_utilization_window_accounting():
 def test_invalid_bandwidth_rejected():
     with pytest.raises(ValueError):
         Link(Simulator(), 0, 1, 0.0, 1.0, LinkClass.MODULE)
+
+
+def test_idle_busy_idle_submission_pattern():
+    """Idle wire, then two packets queued behind it, then idle again
+    after the drain: every packet pays wire + its own serialization
+    (store-and-forward at its first link) after the wire frees."""
+    sim = Simulator()
+    link = Link(sim, 0, 1, 2.0, 3.0, LinkClass.BACKPLANE)
+    arrived = []
+
+    def submit(size, msg_class=MessageClass.RESPONSE):
+        link.submit(Packet(0, 1, msg_class, size_bytes=size),
+                    lambda p: arrived.append((sim.now, p.size_bytes)))
+
+    submit(64)                          # idle wire
+    submit(80)                          # queued behind the 64
+    submit(16, MessageClass.REQUEST)    # lower class, queued last
+    sim.schedule(200.0, submit, 32)     # idle again after the drain
+    sim.run()
+    assert arrived == [(35.0, 64), (75.0, 80), (83.0, 16), (219.0, 32)]
+    assert link.busy_ns_total == 96.0
+    assert link.bytes_total == 192
+    assert link.packets_total == 4
+    assert link.busy_until == 216.0
+    assert sim.events_processed == 9
+
+
+def test_fifo_ablation_drains_in_arrival_order():
+    """class_priority=False collapses the virtual channels into one
+    FIFO: the drain order is submission order, whatever the class."""
+    sim = Simulator()
+    link = Link(sim, 0, 1, 1.0, 0.0, LinkClass.MODULE, class_priority=False)
+    order = []
+    for cls, tag in [
+        (MessageClass.IO, "blocker"),
+        (MessageClass.IO, "io"),
+        (MessageClass.REQUEST, "req"),
+        (MessageClass.FORWARD, "fwd"),
+        (MessageClass.RESPONSE, "resp"),
+    ]:
+        link.submit(Packet(0, 1, cls, payload=tag),
+                    lambda p: order.append(p.payload))
+    sim.run()
+    assert order == ["blocker", "io", "req", "fwd", "resp"]

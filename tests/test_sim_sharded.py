@@ -66,8 +66,8 @@ def _run_single(rounds=4):
     return log, sim
 
 
-def _run_sharded(rounds=4, executor="serial"):
-    sim = ShardedSimulator([[0], [1]], LOOKAHEAD, executor=executor)
+def _run_sharded(rounds=4):
+    sim = ShardedSimulator([[0], [1]], LOOKAHEAD)
     log = []
     _build_traffic(sim, log, rounds)
     sim.run()
@@ -106,14 +106,6 @@ def test_step_reproduces_exact_global_order():
         pass
     assert sharded_log == single_log
     assert sharded.now == single.now
-
-
-def test_threads_executor_matches_serial():
-    serial_log, _ = _run_sharded(executor="serial")
-    threaded_log, sim = _run_sharded(executor="threads")
-    assert _per_node(threaded_log, 0) == _per_node(serial_log, 0)
-    assert _per_node(threaded_log, 1) == _per_node(serial_log, 1)
-    sim.close()
 
 
 def test_global_events_merge_at_sync_points():
@@ -317,8 +309,6 @@ def test_partition_validation():
         ShardedSimulator([[0, 1]], LOOKAHEAD)
     with pytest.raises(ValueError, match="lookahead"):
         ShardedSimulator([[0], [1]], 0.0)
-    with pytest.raises(ValueError, match="executor"):
-        ShardedSimulator([[0], [1]], LOOKAHEAD, executor="processes")
     with pytest.raises(ValueError, match="in two shards"):
         ShardedSimulator([[0], [0]], LOOKAHEAD)
     with pytest.raises(ValueError, match="cover nodes"):
