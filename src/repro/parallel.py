@@ -12,7 +12,9 @@ sandboxed environments without process support).
 
 from __future__ import annotations
 
+import os
 import pickle
+import threading
 from typing import Any, Callable, Iterable, Sequence, TypeVar
 
 __all__ = [
@@ -165,16 +167,26 @@ class WorkerSupervisor:
     The second fan-out shape next to :func:`parallel_map` (short-lived
     pure tasks): independent sibling processes that coordinate through
     external state -- the service's SQLite-backed worker pool.  The
-    supervisor only spawns, counts, terminates and reaps; everything
-    the children *do* is their own business, which is what keeps a
-    ``kill -9`` of a child (or of the whole tree) a recoverable event
-    for the caller.
+    supervisor only spawns, counts, rings, terminates and reaps;
+    everything the children *do* is their own business, which is what
+    keeps a ``kill -9`` of a child (or of the whole tree) a recoverable
+    event for the caller.
+
+    Each child's stdin is a doorbell: a pipe whose write end stays
+    here, non-blocking.  :meth:`ring` writes one byte to every live
+    child ("there may be work"); a child that waits on its stdin wakes
+    at once instead of at its next poll.  A child sees EOF on the pipe
+    when the supervisor hangs up (:meth:`terminate`) or dies.
     """
 
     def __init__(self, argv_for: Callable[[int], Sequence[str]]) -> None:
         self._argv_for = argv_for
         self._children: list[Any] = []  # subprocess.Popen
         self._spawned = 0  # lifetime count; indices are never reused
+        # Rings come from request threads while the owner reaps and
+        # hangs up: never write to a doorbell fd another thread closed
+        # (the number may already name a different file).
+        self._bell_lock = threading.Lock()
 
     def spawn(self, count: int = 1) -> list[int]:
         """Start ``count`` children; returns their pids.
@@ -190,7 +202,10 @@ class WorkerSupervisor:
         for _ in range(count):
             index = self._spawned
             self._spawned += 1
-            child = subprocess.Popen(list(self._argv_for(index)))
+            child = subprocess.Popen(list(self._argv_for(index)),
+                                     stdin=subprocess.PIPE)
+            assert child.stdin is not None
+            os.set_blocking(child.stdin.fileno(), False)
             self._children.append(child)
             pids.append(child.pid)
         return pids
@@ -203,9 +218,27 @@ class WorkerSupervisor:
 
     def reap(self) -> int:
         """Collect exited children; returns how many just exited."""
-        exited = [c for c in self._children if c.poll() is not None]
-        self._children = [c for c in self._children if c.poll() is None]
+        with self._bell_lock:
+            exited = [c for c in self._children if c.poll() is not None]
+            self._children = [c for c in self._children if c not in exited]
+            for child in exited:
+                child.stdin.close()
         return len(exited)
+
+    def ring(self) -> None:
+        """Write one doorbell byte to every live child.
+
+        A full pipe means a bell is already pending, and a broken one
+        means the child is dead; both are fine to ignore.
+        """
+        with self._bell_lock:
+            for child in self._children:
+                if child.stdin.closed:
+                    continue
+                try:
+                    os.write(child.stdin.fileno(), b"\0")
+                except (BlockingIOError, BrokenPipeError):
+                    pass
 
     def respawn_dead(self, target: int) -> list[int]:
         """Top the pool back up to ``target`` live children."""
@@ -214,10 +247,13 @@ class WorkerSupervisor:
         return self.spawn(missing) if missing > 0 else []
 
     def terminate(self) -> None:
-        """SIGTERM every live child (graceful drain request)."""
-        for child in self._children:
-            if child.poll() is None:
-                child.terminate()
+        """SIGTERM every live child (graceful drain request), then hang
+        up its doorbell so a child idle on the bell wakes to see it."""
+        with self._bell_lock:
+            for child in self._children:
+                if child.poll() is None:
+                    child.terminate()
+                child.stdin.close()
 
     def kill_one(self, pid: int | None = None) -> int | None:
         """SIGKILL one live child (``pid`` or the oldest); returns the

@@ -8,7 +8,9 @@ previous life whose worker is dead (this is the crash-resume path: a
 re-uses every already-cached point), spawns the worker pool as child
 processes, starts the HTTP control plane, and runs a maintenance loop:
 
-* reclaim expired/dead-worker leases every tick, live;
+* reclaim expired/dead-worker leases every tick, live, and ring the
+  workers' doorbells so an idle one claims the re-queued job at once
+  (submissions ring them too, from the control plane);
 * (unless ``--no-respawn``) top the worker pool back up when a worker
   dies -- the soak's self-healing guarantee.
 
@@ -141,7 +143,8 @@ def run_serve(config: ServeConfig,
     supervisor = WorkerSupervisor(config.worker_argv)
     plane = ControlPlane(store, cache, config.results_dir,
                          worker_pids=supervisor.pids,
-                         admission=admission, chaos=chaos_engine)
+                         admission=admission, chaos=chaos_engine,
+                         wake=supervisor.ring)
     server, http_thread = serve_http(plane, config.host, config.port,
                                      verbose=config.verbose)
     host, port = server.server_address[0], server.server_address[1]
@@ -188,6 +191,7 @@ def run_serve(config: ServeConfig,
                         f"for {stall_s:.1f}s")
         reclaimed = store.reclaim(check_pid=True)
         if reclaimed:
+            supervisor.ring()
             log(f"serve: reclaimed {len(reclaimed)} job(s) from "
                 "dead/expired workers")
         if config.respawn:

@@ -66,11 +66,13 @@ class ControlPlane:
         worker_pids: Callable[[], list[int]] = lambda: [],
         admission: AdmissionController | None = None,
         chaos: ChaosEngine | None = None,
+        wake: Callable[[], None] = lambda: None,
     ) -> None:
         self.store = store
         self.cache = cache
         self.results_dir = Path(results_dir)
         self.worker_pids = worker_pids
+        self.wake = wake
         self.admission = admission
         self.chaos = chaos
         self.draining = threading.Event()
@@ -136,6 +138,8 @@ class ControlPlane:
         job_id, created = self.store.submit_idempotent(
             tenant, spec, priority=priority, submit_key=submit_key
         )
+        if created:
+            self.wake()  # the row is committed: idle workers can claim it
         job = self.store.get(job_id)
         assert job is not None
         return (201 if created else 200), job.to_dict()
@@ -226,6 +230,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     server: "ServiceHTTPServer"
     protocol_version = "HTTP/1.1"
+    # Headers and body go out as separate writes; with Nagle on, a
+    # keep-alive client waits out the delayed ACK on every response.
+    disable_nagle_algorithm = True
 
     # -- plumbing --------------------------------------------------------
     def log_message(self, fmt: str, *args: Any) -> None:

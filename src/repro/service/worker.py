@@ -6,7 +6,11 @@ same loop runs happily on a thread with a ``threading.Event`` as the
 stop signal.  The loop is deliberately boring:
 
 1. :meth:`JobStore.claim` the best queued job (priority, then
-   submission order) under a lease.
+   submission order) under a lease.  Idle, the worker sleeps on its
+   doorbell -- stdin, a pipe the ``serve`` supervisor writes a byte to
+   whenever a job is queued or re-queued -- so a new job is claimed
+   at once; ``--poll`` stays the safety net.  At EOF (the server is
+   gone) or with no pipe on stdin it simply polls.
 2. Expand its campaign spec exactly the way ``gs1280-repro sweep``
    does, then execute the points *in expansion order* through
    :func:`~repro.service.coalesce.compute_point_shared` -- cache hits
@@ -35,7 +39,9 @@ from __future__ import annotations
 import argparse
 import os
 import re
+import select
 import signal
+import stat
 import sys
 import threading
 import time
@@ -297,6 +303,17 @@ def execute_job(
     return "done"
 
 
+def _await_bell(wake_fd: int, timeout_s: float) -> int | None:
+    """Sleep until the doorbell rings or ``timeout_s`` passes, draining
+    every pending bell so a burst of them costs one claim.  Returns the
+    fd to wait on next time: ``None`` once the pipe is at EOF, where a
+    select would return at once forever."""
+    readable, _, _ = select.select([wake_fd], [], [], timeout_s)
+    if readable and not os.read(wake_fd, 1 << 16):
+        return None
+    return wake_fd
+
+
 def run_worker(
     db: str | Path,
     cache_dir: str | Path,
@@ -309,11 +326,14 @@ def run_worker(
     inflight_lease_s: float = 600.0,
     idle_exit_s: float | None = None,
     chaos: ChaosPolicy | None = None,
+    wake_fd: int | None = None,
 ) -> int:
     """The claim/execute loop; returns the number of jobs handled.
 
     ``stop`` drains: set it and the worker exits after finishing the
-    job in hand (or immediately if idle).  ``idle_exit_s`` lets tests
+    job in hand (or, if idle, within ``poll_s``).  ``wake_fd`` is the
+    read end of a doorbell pipe: idle, the worker waits on it instead
+    of sleeping the whole ``poll_s``.  ``idle_exit_s`` lets tests
     and one-shot tools run the loop to quiescence.  ``chaos`` arms
     deterministic self-inflicted faults (kill/stall/slow-claim, scoped
     to this ``worker_id``'s decision stream); never arm a policy with
@@ -340,7 +360,10 @@ def run_worker(
             if (idle_exit_s is not None
                     and time.monotonic() - idle_since >= idle_exit_s):
                 break
-            stop.wait(poll_s)
+            if wake_fd is None:
+                stop.wait(poll_s)
+            else:
+                wake_fd = _await_bell(wake_fd, poll_s)
             continue
         execute_job(job, store, cache, inflight, results_dir,
                     worker_id, pid, lease_s=lease_s, chaos=engine)
@@ -379,11 +402,15 @@ def main(argv: list[str] | None = None) -> int:
 
     signal.signal(signal.SIGTERM, _drain)
     signal.signal(signal.SIGINT, _drain)
+    try:
+        doorbell = stat.S_ISFIFO(os.fstat(0).st_mode)
+    except OSError:  # stdin closed
+        doorbell = False
     run_worker(
         args.db, args.cache_dir, args.results_dir, worker_id, stop,
         lease_s=args.lease, poll_s=args.poll,
         cache_budget=args.cache_budget, idle_exit_s=args.idle_exit,
-        chaos=chaos,
+        chaos=chaos, wake_fd=0 if doorbell else None,
     )
     return 0
 

@@ -248,3 +248,29 @@ class TestHealthAndStats:
             assert stats["cache"]["bytes"] > 0
             assert stats["uptime_s"] >= 0.0
             assert stats["oldest_claimed_s"] == 0.0
+
+    def test_keepalive_responses_skip_the_delayed_ack(self, tmp_path):
+        """Headers and body leave as two writes; with Nagle on, every
+        response on a kept-alive connection waits out the client's
+        delayed ACK (~40 ms on Linux)."""
+        import http.client
+        import statistics
+        import time
+        from urllib.parse import urlsplit
+
+        with live_service(tmp_path, workers=0) as svc:
+            url = urlsplit(svc.url)
+            conn = http.client.HTTPConnection(url.hostname, url.port,
+                                              timeout=5.0)
+            times = []
+            try:
+                for _ in range(10):
+                    start = time.perf_counter()
+                    conn.request("GET", "/healthz")
+                    response = conn.getresponse()
+                    response.read()
+                    times.append(time.perf_counter() - start)
+                    assert response.status == 200
+            finally:
+                conn.close()
+            assert statistics.median(times) < 0.020
