@@ -48,15 +48,15 @@ echo "submitted $JOB_ID"
 python - "$URL" "$JOB_ID" <<'EOF'
 import sys, time
 from repro.service.client import ServiceClient
-client = ServiceClient(sys.argv[1])
-deadline = time.monotonic() + 120
-while time.monotonic() < deadline:
-    page = client.events(sys.argv[2])
-    if page["done"]:
-        sys.exit("campaign finished before the kill; probe spec too fast")
-    if any(e["kind"] == "point" for e in page["events"]):
-        sys.exit(0)
-    time.sleep(0.02)
+with ServiceClient(sys.argv[1]) as client:
+    deadline = time.monotonic() + 120
+    while time.monotonic() < deadline:
+        page = client.events(sys.argv[2])
+        if page["done"]:
+            sys.exit("campaign finished before the kill; probe spec too fast")
+        if any(e["kind"] == "point" for e in page["events"]):
+            sys.exit(0)
+        time.sleep(0.02)
 sys.exit("no point event within 120s")
 EOF
 
@@ -79,11 +79,11 @@ wait_healthy
 python - "$URL" "$JOB_ID" <<'EOF'
 import sys
 from repro.service.client import ServiceClient
-client = ServiceClient(sys.argv[1])
-final = client.wait(sys.argv[2], timeout_s=300)
+with ServiceClient(sys.argv[1]) as client:
+    final = client.wait(sys.argv[2], timeout_s=300)
+    kinds = [e["kind"] for e in client.events(sys.argv[2])["events"]]
 assert final["state"] == "done", final
 assert final["attempts"] >= 2, final  # the first claim died
-kinds = [e["kind"] for e in client.events(sys.argv[2])["events"]]
 assert "reclaimed" in kinds, kinds
 print(f"resumed: attempts={final['attempts']} events={kinds}")
 EOF

@@ -278,44 +278,45 @@ def _run_submit(args) -> int:
             campaign = _json.load(handle)
     else:
         campaign = args.spec  # builtin name; server validates
-    client = ServiceClient(args.url, retry=_client_retry(args.retries))
-    try:
-        job = client.submit(
-            campaign, tenant=args.tenant, priority=args.priority,
-            fast=not args.full, seed=args.seed, export=args.export,
-        )
-    except ServiceError as exc:
-        print(f"submit failed: {exc}")
-        return 1
-    print(f"job {job['id']} ({job['state']}) tenant={job['tenant']}")
-    if not args.wait:
+    with ServiceClient(args.url,
+                       retry=_client_retry(args.retries)) as client:
+        try:
+            job = client.submit(
+                campaign, tenant=args.tenant, priority=args.priority,
+                fast=not args.full, seed=args.seed, export=args.export,
+            )
+        except ServiceError as exc:
+            print(f"submit failed: {exc}")
+            return 1
+        print(f"job {job['id']} ({job['state']}) tenant={job['tenant']}")
+        if not args.wait:
+            return 0
+
+        def _progress(event) -> None:
+            if event["kind"] == "point":
+                data = event["data"]
+                print(f"  point {data['index'] + 1}/{data['total']} "
+                      f"[{data['status']}]")
+            elif event["kind"] not in ("submitted",):
+                print(f"  {event['kind']}")
+
+        try:
+            final = client.wait(job["id"], timeout_s=args.timeout,
+                                on_event=_progress)
+        except ServiceError as exc:
+            print(f"wait failed: {exc}")
+            return 1
+        print(f"job {final['id']} -> {final['state']}")
+        if final["state"] != "done":
+            if final.get("error"):
+                print(final["error"])
+            return 1
+        if args.out is not None:
+            payload = client.result_bytes(final["id"])
+            with open(args.out, "wb") as handle:
+                handle.write(payload)
+            print(f"  [result: {len(payload)} bytes -> {args.out}]")
         return 0
-
-    def _progress(event) -> None:
-        if event["kind"] == "point":
-            data = event["data"]
-            print(f"  point {data['index'] + 1}/{data['total']} "
-                  f"[{data['status']}]")
-        elif event["kind"] not in ("submitted",):
-            print(f"  {event['kind']}")
-
-    try:
-        final = client.wait(job["id"], timeout_s=args.timeout,
-                            on_event=_progress)
-    except ServiceError as exc:
-        print(f"wait failed: {exc}")
-        return 1
-    print(f"job {final['id']} -> {final['state']}")
-    if final["state"] != "done":
-        if final.get("error"):
-            print(final["error"])
-        return 1
-    if args.out is not None:
-        payload = client.result_bytes(final["id"])
-        with open(args.out, "wb") as handle:
-            handle.write(payload)
-        print(f"  [result: {len(payload)} bytes -> {args.out}]")
-    return 0
 
 
 def _run_status(args) -> int:
@@ -324,13 +325,14 @@ def _run_status(args) -> int:
 
     from repro.service.client import ServiceClient, ServiceError
 
-    client = ServiceClient(args.url, retry=_client_retry(args.retries))
-    try:
-        payload = (client.job(args.job_id) if args.job_id
-                   else client.stats())
-    except ServiceError as exc:
-        print(f"status failed: {exc}")
-        return 1
+    with ServiceClient(args.url,
+                       retry=_client_retry(args.retries)) as client:
+        try:
+            payload = (client.job(args.job_id) if args.job_id
+                       else client.stats())
+        except ServiceError as exc:
+            print(f"status failed: {exc}")
+            return 1
     print(_json.dumps(payload, indent=2, sort_keys=True))
     return 0
 

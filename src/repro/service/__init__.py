@@ -40,7 +40,7 @@ simulators -- schedulable, restartable, observable:
   absorb them; :mod:`~repro.service.chaos_soak` proves the loop
   closed -- zero lost or duplicated jobs under aggressive chaos.
 
-Everything is stdlib-only (sqlite3, http.server, urllib); the model
+Everything is stdlib-only (sqlite3, http.server, http.client); the model
 and cache layers below are untouched, which is what makes the service
 round-trip provably byte-identical to a direct ``sweep`` run.
 """

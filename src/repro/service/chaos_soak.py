@@ -288,6 +288,8 @@ def run_chaos_soak(config: ChaosSoakConfig,
         if outstanding:
             time.sleep(0.2)
 
+    steady.close()
+    greedy.close()
     stop_serve.set()
     serve_thread.join(timeout=serve_config.drain_timeout_s + 30.0)
 

@@ -2,8 +2,14 @@
 
 Used by ``gs1280-repro submit``/``status``, the soak drivers, and the
 tests; nothing here knows about simulators -- it is JSON over
-``urllib`` with explicit timeouts and an exception type that keeps the
-HTTP status attached (the soak's fail-on-5xx gate reads it).
+``http.client`` with explicit timeouts and an exception type that
+keeps the HTTP status attached (the soak's fail-on-5xx gate reads it).
+
+Each calling thread keeps one HTTP/1.1 connection open across
+requests (a request on a fresh connection costs a TCP handshake plus a
+new server handler thread and SQLite connection).  A transport error
+closes that thread's connection and raises ``ServiceError(status=None)``;
+``close()`` (or ``with ServiceClient(...) as client:``) closes them all.
 
 Hardening (see docs/resilience.md):
 
@@ -24,13 +30,15 @@ Hardening (see docs/resilience.md):
 
 from __future__ import annotations
 
+import http.client
 import json
 import random
+import select
+import threading
 import time
-import urllib.error
-import urllib.request
 import uuid
 from typing import Any, Callable, Mapping
+from urllib.parse import urlsplit
 
 from repro.service.resilience import RetryPolicy
 
@@ -57,12 +65,40 @@ class ServiceClient:
     def __init__(self, base_url: str, timeout_s: float = 30.0,
                  retry: RetryPolicy | None = None) -> None:
         self.base_url = base_url.rstrip("/")
+        url = urlsplit(self.base_url)
+        if url.scheme != "http" or not url.hostname:
+            raise ValueError(f"not an http:// URL: {base_url!r}")
+        self._host, self._port, self._prefix = (url.hostname, url.port,
+                                                url.path)
         self.timeout_s = timeout_s
         self.retry = retry
         self.retries = 0  # lifetime count of retried requests (telemetry)
         self._rng = random.Random(retry.seed if retry is not None else None)
+        self._local = threading.local()
+        self._conns: list[http.client.HTTPConnection] = []
+        self._conns_lock = threading.Lock()
 
     # -- transport -------------------------------------------------------
+    def _connection(self) -> http.client.HTTPConnection:
+        """This thread's kept-alive connection, made on first use.
+
+        An idle socket the server has since closed (idle timeout,
+        restart) reads as ready: it is closed here and ``http.client``
+        reconnects on the next request, so a stale socket never costs
+        a retry.
+        """
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = http.client.HTTPConnection(self._host, self._port,
+                                              timeout=self.timeout_s)
+            self._local.conn = conn
+            with self._conns_lock:
+                self._conns.append(conn)
+        elif conn.sock is not None and select.select([conn.sock], [], [],
+                                                     0)[0]:
+            conn.close()
+        return conn
+
     def _request_once(self, method: str, path: str,
                       body: Mapping[str, Any] | None = None,
                       raw: bool = False) -> Any:
@@ -71,37 +107,51 @@ class ServiceClient:
         if body is not None:
             data = json.dumps(dict(body)).encode()
             headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(
-            self.base_url + path, data=data, method=method, headers=headers
-        )
+        conn = self._connection()
         try:
-            with urllib.request.urlopen(
-                request, timeout=self.timeout_s
-            ) as response:
-                payload = response.read()
-        except urllib.error.HTTPError as exc:
+            conn.request(method, self._prefix + path, body=data,
+                         headers=headers)
+            response = conn.getresponse()
+            payload = response.read()
+        except (OSError, http.client.HTTPException) as exc:
+            conn.close()
+            raise ServiceError(
+                f"{method} {path} failed: {exc}", status=None
+            ) from exc
+        # A ``Connection: close`` response has already closed ``conn``;
+        # http.client reopens it on the next request.
+        if not 200 <= response.status < 300:
             detail = ""
             try:
-                detail = json.loads(exc.read()).get("error", "")
+                detail = json.loads(payload).get("error", "")
             except Exception:  # noqa: BLE001 - error body is best-effort
                 pass
             retry_after = None
             try:
-                header = exc.headers.get("Retry-After")
+                header = response.getheader("Retry-After")
                 if header is not None:
                     retry_after = float(header)
             except (TypeError, ValueError):
                 pass
             raise ServiceError(
-                f"{method} {path} -> {exc.code}"
+                f"{method} {path} -> {response.status}"
                 + (f": {detail}" if detail else ""),
-                status=exc.code, retry_after=retry_after,
-            ) from None
-        except (urllib.error.URLError, OSError, TimeoutError) as exc:
-            raise ServiceError(
-                f"{method} {path} failed: {exc}", status=None
-            ) from exc
+                status=response.status, retry_after=retry_after,
+            )
         return payload if raw else json.loads(payload)
+
+    def close(self) -> None:
+        """Close every thread's connection.  The client stays usable:
+        a later request opens a fresh one."""
+        with self._conns_lock:
+            for conn in self._conns:
+                conn.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        self.close()
 
     def _request(self, method: str, path: str,
                  body: Mapping[str, Any] | None = None,

@@ -14,9 +14,13 @@ Routes (all JSON unless noted)::
     GET    /stats               queue depths, service counters, cache
                                 accounting, worker pids, uptime
 
-Implementation notes: ``ThreadingHTTPServer`` handles each request on
-a thread, and :class:`~repro.service.store.JobStore` keeps per-thread
-SQLite connections, so no shared mutable state lives in the handlers.
+Implementation notes: ``ThreadingHTTPServer`` handles each connection
+on a thread, and :class:`~repro.service.store.JobStore` keeps
+per-thread SQLite connections, so no shared mutable state lives in the
+handlers.  Connections are HTTP/1.1 keep-alive: every request's body
+is consumed before any response (early 429s and chaos faults
+included), and a connection idle for ``_Handler.timeout`` seconds is
+closed.
 Submissions during drain are refused with 503 so ``SIGTERM`` means "no
 new work, finish what's running".  Every response path is accounted:
 ``service.http.requests`` / ``service.http.5xx`` feed the soak's
@@ -37,6 +41,7 @@ returns the existing job with 200 instead of enqueueing a duplicate.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -165,15 +170,20 @@ class ControlPlane:
             "done": job.state in TERMINAL_STATES,
         }
 
-    def result(self, job_id: str) -> tuple[int, dict[str, Any]] | bytes:
+    def result(self, job_id: str
+               ) -> tuple[int, dict[str, Any]] | tuple[bytes, str]:
+        """The export bytes and their content type, or an error
+        ``(status, payload)``."""
         job = self.store.get(job_id)
         if job is None:
             return 404, {"error": f"no job {job_id!r}"}
         if job.state != "done" or not job.result_path:
             return 409, {"error": f"job {job_id} is {job.state}, "
                                   "not done"}
+        content_type = ("text/csv" if job.result_path.endswith(".csv")
+                        else "application/json")
         try:
-            return Path(job.result_path).read_bytes()
+            return Path(job.result_path).read_bytes(), content_type
         except OSError:
             return 410, {"error": "result export is gone "
                                   "(evicted or relocated)"}
@@ -229,10 +239,14 @@ class _Handler(BaseHTTPRequestHandler):
     """Thin routing shim over the :class:`ControlPlane`."""
 
     server: "ServiceHTTPServer"
+    _raw_body: bytes  # this request's body, read once by _dispatch
     protocol_version = "HTTP/1.1"
     # Headers and body go out as separate writes; with Nagle on, a
     # keep-alive client waits out the delayed ACK on every response.
     disable_nagle_algorithm = True
+    # Seconds a kept-alive connection may sit idle (or stall mid-
+    # request) before its handler thread closes it and exits.
+    timeout = 15.0
 
     # -- plumbing --------------------------------------------------------
     def log_message(self, fmt: str, *args: Any) -> None:
@@ -242,23 +256,23 @@ class _Handler(BaseHTTPRequestHandler):
     def _send_json(self, status: int, payload: dict[str, Any],
                    injected: bool = False) -> None:
         body = (json.dumps(payload, sort_keys=True) + "\n").encode()
+        retry_after = payload.get("retry_after")
+        self._send(status, body, "application/json", injected=injected,
+                   retry_after=retry_after if status == 429 else None)
+
+    def _send(self, status: int, body: bytes, content_type: str,
+              injected: bool = False,
+              retry_after: float | None = None) -> None:
         self._account(status, injected=injected)
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
-        retry_after = payload.get("retry_after")
-        if status == 429 and retry_after is not None:
+        if retry_after is not None:
             self.send_header("Retry-After", f"{max(0.0, retry_after):.3f}")
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
-
-    def _send_bytes(self, payload: bytes, content_type: str) -> None:
-        self._account(200)
-        self.send_response(200)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
 
     def _account(self, status: int, injected: bool = False) -> None:
         plane = self.server.plane
@@ -272,13 +286,29 @@ class _Handler(BaseHTTPRequestHandler):
             plane.store.bump("service.chaos.injected.http_500" if injected
                              else "service.http.5xx")
 
-    def _body(self) -> dict[str, Any] | None:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0 or length > _MAX_BODY:
-            return None
+    def _read_body(self) -> bytes:
+        """Consume this request's body, whatever the route, so the next
+        request on a kept-alive connection starts where it should.  A
+        body that cannot be framed or is too big is left unread and the
+        connection closes after the response."""
         try:
-            parsed = json.loads(self.rfile.read(length))
-        except (ValueError, OSError):
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if (length < 0 or length > _MAX_BODY
+                or "Transfer-Encoding" in self.headers):
+            self.close_connection = True
+            return b""
+        try:
+            return self.rfile.read(length) if length else b""
+        except OSError:
+            self.close_connection = True
+            return b""
+
+    def _body(self) -> dict[str, Any] | None:
+        try:
+            parsed = json.loads(self._raw_body)
+        except ValueError:
             return None
         return parsed if isinstance(parsed, dict) else None
 
@@ -331,6 +361,7 @@ class _Handler(BaseHTTPRequestHandler):
         parts = [p for p in url.path.split("/") if p]
         route = self._route_name(method, parts)
         try:
+            self._raw_body = self._read_body()
             if self._inject_chaos(route):
                 return
             if plane.admission is not None:
@@ -386,13 +417,8 @@ class _Handler(BaseHTTPRequestHandler):
         if (method == "GET" and len(parts) == 3
                 and parts[0] == "jobs" and parts[2] == "result"):
             outcome = plane.result(parts[1])
-            if isinstance(outcome, bytes):
-                job = plane.store.get(parts[1])
-                content_type = (
-                    "text/csv" if job and str(job.result_path)
-                    .endswith(".csv") else "application/json"
-                )
-                return self._send_bytes(outcome, content_type)
+            if isinstance(outcome[0], bytes):
+                return self._send(200, *outcome)
             return self._send_json(*outcome)
         return self._send_json(
             404, {"error": f"no route {method} {url.path}"}
@@ -418,6 +444,29 @@ class ServiceHTTPServer(ThreadingHTTPServer):
         super().__init__(address, _Handler)
         self.plane = plane
         self.verbose = verbose
+        self._open: set[socket.socket] = set()
+        self._open_lock = threading.Lock()
+
+    def process_request(self, request: Any, client_address: Any) -> None:
+        with self._open_lock:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request: Any) -> None:
+        with self._open_lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        """Stop listening and end every kept-alive connection, so no
+        request is served after close (as when the process exits)."""
+        super().server_close()
+        with self._open_lock:
+            for request in self._open:
+                try:
+                    request.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
 
 
 def serve_http(plane: ControlPlane, host: str = "127.0.0.1",

@@ -277,6 +277,7 @@ def run_soak(config: SoakConfig, log=print,
         report.final_stats = client.stats()
     except ServiceError as exc:
         _note_error(exc)
+    client.close()
     counters = report.final_stats.get("counters", {})
     report.http_5xx += int(counters.get("service.http.5xx", 0))
     oldest = float(report.final_stats.get("oldest_claimed_s", 0.0))

@@ -51,13 +51,15 @@ def live_service(tmp_path, workers=2, cache_budget=None):
         thread.start()
     host, port = server.server_address[:2]
     url = f"http://{host}:{port}"
+    client = ServiceClient(url, timeout_s=10.0)
     try:
         yield SimpleNamespace(
-            url=url, client=ServiceClient(url, timeout_s=10.0),
+            url=url, client=client,
             plane=plane, store=store, cache=cache,
             results_dir=results_dir,
         )
     finally:
+        client.close()
         stop.set()
         server.shutdown()
         server.server_close()
