@@ -20,18 +20,26 @@ or run any paper experiment::
 
     from repro.experiments.registry import run_experiment
     print(run_experiment("fig13").rows)
+
+The names below are imported on first attribute access (PEP 562), so
+``import repro`` alone loads neither numpy nor the machine models.
 """
 
-from repro.config import (
-    ES45Config,
-    GS1280Config,
-    GS320Config,
-    SC45Config,
-    TorusShape,
-    torus_shape_for,
-)
-from repro.sim import RngFactory, Simulator
-from repro.systems import ES45System, GS1280System, GS320System
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.config import (
+        ES45Config,
+        GS1280Config,
+        GS320Config,
+        SC45Config,
+        TorusShape,
+        torus_shape_for,
+    )
+    from repro.sim import RngFactory, Simulator
+    from repro.systems import ES45System, GS1280System, GS320System
 
 __version__ = "1.0.0"
 
@@ -49,3 +57,10 @@ __all__ = [
     "torus_shape_for",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.config": ("ES45Config", "GS1280Config", "GS320Config",
+                     "SC45Config", "TorusShape", "torus_shape_for"),
+    "repro.sim": ("RngFactory", "Simulator"),
+    "repro.systems": ("ES45System", "GS1280System", "GS320System"),
+})

@@ -183,8 +183,19 @@ class ResultCache:
         entries.sort(key=lambda e: (e[0], e[2]))
         return entries
 
-    def total_bytes(self) -> int:
-        return sum(size for _, size, _, _ in self.entries_by_recency())
+    def usage(self) -> tuple[int, int]:
+        """``(entries, bytes)`` from one walk of the directory (no
+        ordering, unlike :meth:`entries_by_recency`)."""
+        entries = size = 0
+        if not self.root.is_dir():
+            return entries, size
+        for path in self.root.glob("??/*.json"):
+            try:
+                size += path.stat().st_size
+            except OSError:
+                continue  # raced an eviction/replace
+            entries += 1
+        return entries, size
 
     def evict_to_budget(
         self, protect: Iterable[str] = (),

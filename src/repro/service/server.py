@@ -206,18 +206,17 @@ class ControlPlane:
             time.time() - (job.started_at or job.submitted_at)
             for job in self.store.jobs_in(("claimed",))
         ]
+        entries, size = self.cache.usage()
+        pids = self.worker_pids()
         return 200, {
             "uptime_s": time.time() - self.started_at,
             "draining": self.draining.is_set(),
             "jobs": self.store.counts_by_state(),
             "counters": self.store.stats_counters(),
-            "workers": {
-                "pids": self.worker_pids(),
-                "alive": len(self.worker_pids()),
-            },
+            "workers": {"pids": pids, "alive": len(pids)},
             "cache": {
-                "entries": len(self.cache),
-                "bytes": self.cache.total_bytes(),
+                "entries": entries,
+                "bytes": size,
                 "byte_budget": self.cache.byte_budget,
             },
             "admission": (

@@ -37,6 +37,7 @@ exits instead of claiming again.
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import re
 import select
@@ -406,6 +407,10 @@ def main(argv: list[str] | None = None) -> int:
         doorbell = stat.S_ISFIFO(os.fstat(0).st_mode)
     except OSError:  # stdin closed
         doorbell = False
+    # Nothing above loads the simulator (the control plane never needs
+    # it); load it before the first claim so no job pays for the import.
+    for module in ("numpy", "repro.systems"):
+        importlib.import_module(module)
     run_worker(
         args.db, args.cache_dir, args.results_dir, worker_id, stop,
         lease_s=args.lease, poll_s=args.poll,

@@ -43,9 +43,16 @@ class TestLruEviction:
         evicted = cache.evict_to_budget()
         # Oldest evicted first, newest kept.
         assert evicted == keys[:3]
-        assert cache.total_bytes() <= cache.byte_budget
+        assert cache.usage()[1] <= cache.byte_budget
         for key in keys[3:]:
             assert cache.path_for(key).exists()
+
+    def test_usage_counts_entries_and_bytes_in_one_walk(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        assert cache.usage() == (0, 0)
+        keys = _fill(cache, 4, size_hint=100)
+        sizes = [cache.path_for(key).stat().st_size for key in keys]
+        assert cache.usage() == (len(cache), sum(sizes)) == (4, sum(sizes))
 
     def test_budget_respected_after_each_store(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -54,7 +61,7 @@ class TestLruEviction:
         cache = ResultCache(tmp_path, byte_budget=entry_size * 4)
         _fill(cache, 12)
         cache.evict_to_budget()
-        assert cache.total_bytes() <= cache.byte_budget
+        assert cache.usage()[1] <= cache.byte_budget
 
     def test_load_refreshes_recency(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -259,5 +266,5 @@ class TestWorkerEviction:
         job = store.get(job_id)
         assert job.state == "done"
         cache = ResultCache(tmp_path / "cache")
-        assert cache.total_bytes() <= budget
+        assert cache.usage()[1] <= budget
         assert store.stats_counters().get("service.cache.evicted", 0) > 0

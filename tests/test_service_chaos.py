@@ -24,6 +24,13 @@ from repro.service.resilience import RetryPolicy
 from repro.service.server import ControlPlane, serve_http
 from repro.service.store import JobStore
 
+pytestmark = [
+    pytest.mark.filterwarnings("error::ResourceWarning"),
+    pytest.mark.filterwarnings(
+        "error::pytest.PytestUnraisableExceptionWarning"),
+    pytest.mark.usefixtures("no_inherited_leaks"),
+]
+
 
 class TestChaosPolicy:
     def test_json_round_trip(self):
@@ -166,13 +173,14 @@ def chaos_service(tmp_path, policy: ChaosPolicy):
         server.shutdown()
         server.server_close()
         thread.join(timeout=10.0)
+        store.close()
 
 
 class TestLiveInjection:
     def test_injected_500_is_not_a_real_5xx(self, tmp_path):
         policy = ChaosPolicy(seed=1, http_error_rate=1.0)
-        with chaos_service(tmp_path, policy) as svc:
-            client = ServiceClient(svc.url, timeout_s=5.0)
+        with chaos_service(tmp_path, policy) as svc, \
+                ServiceClient(svc.url, timeout_s=5.0) as client:
             with pytest.raises(ServiceError) as excinfo:
                 client.stats()
             assert excinfo.value.status == 500
@@ -184,14 +192,14 @@ class TestLiveInjection:
         policy = ChaosPolicy(seed=1, http_error_rate=1.0,
                              http_drop_rate=1.0, http_latency_rate=1.0,
                              http_latency_s=0.01)
-        with chaos_service(tmp_path, policy) as svc:
-            client = ServiceClient(svc.url, timeout_s=5.0)
+        with chaos_service(tmp_path, policy) as svc, \
+                ServiceClient(svc.url, timeout_s=5.0) as client:
             assert client.healthz()["ok"] is True
 
     def test_dropped_connection_is_a_transport_error(self, tmp_path):
         policy = ChaosPolicy(seed=1, http_drop_rate=1.0)
-        with chaos_service(tmp_path, policy) as svc:
-            client = ServiceClient(svc.url, timeout_s=5.0)
+        with chaos_service(tmp_path, policy) as svc, \
+                ServiceClient(svc.url, timeout_s=5.0) as client:
             with pytest.raises(ServiceError) as excinfo:
                 client.stats()
             assert excinfo.value.status is None  # not an HTTP status
@@ -201,8 +209,8 @@ class TestLiveInjection:
     def test_latency_injection_still_serves(self, tmp_path):
         policy = ChaosPolicy(seed=1, http_latency_rate=1.0,
                              http_latency_s=0.01)
-        with chaos_service(tmp_path, policy) as svc:
-            client = ServiceClient(svc.url, timeout_s=5.0)
+        with chaos_service(tmp_path, policy) as svc, \
+                ServiceClient(svc.url, timeout_s=5.0) as client:
             assert client.healthz()["ok"] is True
             assert "jobs" in client.stats()
             counters = svc.store.stats_counters()
@@ -213,12 +221,10 @@ class TestLiveInjection:
         retried submission lands exactly one job row."""
         policy = ChaosPolicy(seed=3, http_error_rate=0.3,
                              http_drop_rate=0.2)
-        with chaos_service(tmp_path, policy) as svc:
-            client = ServiceClient(
-                svc.url, timeout_s=5.0,
-                retry=RetryPolicy(max_attempts=10, base_s=0.005,
-                                  cap_s=0.05, seed=0),
-            )
+        retry = RetryPolicy(max_attempts=10, base_s=0.005, cap_s=0.05,
+                            seed=0)
+        with chaos_service(tmp_path, policy) as svc, \
+                ServiceClient(svc.url, timeout_s=5.0, retry=retry) as client:
             ids = set()
             for _ in range(10):
                 job = client.submit("smoke", tenant="t")

@@ -10,14 +10,12 @@ so an early error response cannot desync the next request on the same
 connection.  A socket left open by a client or a test is an error here.
 """
 
-import gc
 import http.client
 import json
 import socket
 import sys
 import threading
 import time
-import warnings
 from contextlib import contextmanager
 from types import SimpleNamespace
 
@@ -39,19 +37,10 @@ pytestmark = [
     pytest.mark.filterwarnings("error::ResourceWarning"),
     pytest.mark.filterwarnings(
         "error::pytest.PytestUnraisableExceptionWarning"),
+    pytest.mark.usefixtures("no_inherited_leaks"),
 ]
 
 SUBMIT = {"campaign": "smoke", "tenant": "t", "submit_key": "k-1"}
-
-
-@pytest.fixture(autouse=True)
-def _no_inherited_leaks():
-    """Finalize what earlier test modules left in reference cycles (an
-    unclosed client's socket, say), so a garbage collection that happens
-    to run during a test here does not blame that test for it."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ResourceWarning)
-        gc.collect()
 
 
 @contextmanager

@@ -8,11 +8,14 @@ direct engine run, and SIGTERM must drain cleanly with exit code 0.
 """
 
 import os
+import re
 import signal
 import subprocess
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
@@ -20,7 +23,13 @@ from repro.campaign.engine import export_json, run_campaign
 from repro.campaign.spec import spec_from_dict
 from repro.service.client import ServiceClient
 
-pytestmark = pytest.mark.slow
+pytestmark = [
+    pytest.mark.slow,
+    pytest.mark.filterwarnings("error::ResourceWarning"),
+    pytest.mark.filterwarnings(
+        "error::pytest.PytestUnraisableExceptionWarning"),
+    pytest.mark.usefixtures("no_inherited_leaks"),
+]
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -37,50 +46,51 @@ SLOW_SPEC = {
 }
 
 
-def _spawn_serve(tmp_path: Path, *extra: str) -> subprocess.Popen:
+@contextmanager
+def _serve(tmp_path: Path,
+           *extra: str) -> Iterator[tuple[subprocess.Popen, str]]:
+    """A ``serve`` child and the URL it announced.  Its output goes to a
+    log file, so there is no pipe to drain or close; on exit a child
+    still running is killed, and the child is always reaped."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src")
-    return subprocess.Popen(
-        [
-            sys.executable, "-u", "-m", "repro.experiments.runner",
-            "serve",
-            "--db", str(tmp_path / "jobs.db"),
-            "--cache-dir", str(tmp_path / "cache"),
-            "--results-dir", str(tmp_path / "results"),
-            "--port", "0",
-            *extra,
-        ],
-        env=env, cwd=str(tmp_path),
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-    )
+    log_path = tmp_path / f"serve-{len(list(tmp_path.glob('serve-*')))}.log"
+    with open(log_path, "w") as log:
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-u", "-m", "repro.experiments.runner",
+                "serve",
+                "--db", str(tmp_path / "jobs.db"),
+                "--cache-dir", str(tmp_path / "cache"),
+                "--results-dir", str(tmp_path / "results"),
+                "--port", "0",
+                *extra,
+            ],
+            env=env, cwd=str(tmp_path),
+            stdout=log, stderr=subprocess.STDOUT,
+        )
+    try:
+        yield proc, _wait_for_url(proc, log_path)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+        proc.wait(timeout=10)
 
 
-def _wait_for_url(proc: subprocess.Popen,
+def _wait_for_url(proc: subprocess.Popen, log_path: Path,
                   timeout_s: float = 30.0) -> str:
-    """Read serve's stdout until it announces the bound address."""
+    """Read serve's log until it announces the bound address."""
     deadline = time.monotonic() + timeout_s
-    lines: list[str] = []
-    assert proc.stdout is not None
     while time.monotonic() < deadline:
-        line = proc.stdout.readline()
-        if not line:
-            if proc.poll() is not None:
-                break
-            continue
-        lines.append(line)
-        if "listening on " in line:
-            return line.split("listening on ", 1)[1].split()[0]
+        match = re.search(r"listening on (\S+)\s", log_path.read_text())
+        if match:
+            return match.group(1)
+        if proc.poll() is not None:
+            break
+        time.sleep(0.02)
     raise AssertionError(
-        "serve never announced its address:\n" + "".join(lines)
+        "serve never announced its address:\n" + log_path.read_text()
     )
-
-
-def _drain_stdout(proc: subprocess.Popen) -> None:
-    """Keep the child's pipe from filling once we stop readline()ing."""
-    import threading
-
-    assert proc.stdout is not None
-    threading.Thread(target=proc.stdout.read, daemon=True).start()
 
 
 def _direct_bytes(tmp_path: Path) -> bytes:
@@ -93,34 +103,21 @@ def _direct_bytes(tmp_path: Path) -> bytes:
 
 class TestSigtermDrain:
     def test_sigterm_after_work_exits_zero(self, tmp_path):
-        proc = _spawn_serve(tmp_path, "--workers", "1")
-        try:
-            url = _wait_for_url(proc)
-            _drain_stdout(proc)
-            client = ServiceClient(url, timeout_s=10.0)
+        with _serve(tmp_path, "--workers", "1") as (proc, url), \
+                ServiceClient(url, timeout_s=10.0) as client:
             client.wait_healthy()
             job = client.submit("smoke", tenant="drain")
             final = client.wait(job["id"], timeout_s=120)
             assert final["state"] == "done"
             proc.send_signal(signal.SIGTERM)
             assert proc.wait(timeout=60) == 0
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait(timeout=10)
 
     def test_sigterm_idle_exits_zero(self, tmp_path):
-        proc = _spawn_serve(tmp_path, "--workers", "2")
-        try:
-            url = _wait_for_url(proc)
-            _drain_stdout(proc)
-            ServiceClient(url, timeout_s=10.0).wait_healthy()
+        with _serve(tmp_path, "--workers", "2") as (proc, url), \
+                ServiceClient(url, timeout_s=10.0) as client:
+            client.wait_healthy()
             proc.send_signal(signal.SIGTERM)
             assert proc.wait(timeout=60) == 0
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait(timeout=10)
 
 
 class TestSigkillResume:
@@ -130,14 +127,9 @@ class TestSigkillResume:
         final export to match a direct run byte for byte."""
         # Slow the run down so "mid-campaign" is a wide-open window:
         # full-fidelity points take long enough to straddle the kill.
-        proc = _spawn_serve(
-            tmp_path, "--workers", "1", "--no-respawn", "--lease", "2",
-        )
-        job_id = None
-        try:
-            url = _wait_for_url(proc)
-            _drain_stdout(proc)
-            client = ServiceClient(url, timeout_s=10.0)
+        with _serve(tmp_path, "--workers", "1", "--no-respawn",
+                    "--lease", "2") as (proc, url), \
+                ServiceClient(url, timeout_s=10.0) as client:
             client.wait_healthy()
             job_id = client.submit(SLOW_SPEC, tenant="crash")["id"]
 
@@ -169,18 +161,12 @@ class TestSigkillResume:
                     except OSError:
                         break
                     time.sleep(0.05)
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait(timeout=10)
 
         # Restart on the same database: the dead worker's claim must be
         # reclaimed and the job must run to completion.
-        proc2 = _spawn_serve(tmp_path, "--workers", "1", "--lease", "2")
-        try:
-            url2 = _wait_for_url(proc2)
-            _drain_stdout(proc2)
-            client2 = ServiceClient(url2, timeout_s=10.0)
+        with _serve(tmp_path, "--workers", "1",
+                    "--lease", "2") as (proc2, url2), \
+                ServiceClient(url2, timeout_s=10.0) as client2:
             client2.wait_healthy()
             final = client2.wait(job_id, timeout_s=180)
             assert final["state"] == "done"
@@ -191,10 +177,6 @@ class TestSigkillResume:
             body = client2.result_bytes(job_id)
             proc2.send_signal(signal.SIGTERM)
             assert proc2.wait(timeout=60) == 0
-        finally:
-            if proc2.poll() is None:
-                proc2.kill()
-                proc2.wait(timeout=10)
 
         assert body == _direct_bytes(tmp_path)
 

@@ -25,6 +25,13 @@ from repro.service.resilience import (
 from repro.service.server import ControlPlane, serve_http
 from repro.service.store import JobStore
 
+pytestmark = [
+    pytest.mark.filterwarnings("error::ResourceWarning"),
+    pytest.mark.filterwarnings(
+        "error::pytest.PytestUnraisableExceptionWarning"),
+    pytest.mark.usefixtures("no_inherited_leaks"),
+]
+
 
 class FakeClock:
     def __init__(self, t: float = 0.0) -> None:
@@ -292,13 +299,14 @@ def admission_service(tmp_path, **knobs):
         server.shutdown()
         server.server_close()
         thread.join(timeout=10.0)
+        store.close()
 
 
 class TestLiveAdmission:
     def test_429_carries_retry_after_header(self, tmp_path):
         with admission_service(tmp_path, tenant_rate_per_s=0.5,
-                               tenant_burst=1.0) as svc:
-            client = ServiceClient(svc.url, timeout_s=5.0)
+                               tenant_burst=1.0) as svc, \
+                ServiceClient(svc.url, timeout_s=5.0) as client:
             assert client.submit("smoke", tenant="t")["state"] == "queued"
             with pytest.raises(ServiceError) as excinfo:
                 client.submit("smoke", tenant="t")
@@ -313,8 +321,8 @@ class TestLiveAdmission:
     def test_retried_submit_resolves_to_one_job(self, tmp_path):
         """The idempotency contract over real HTTP: replaying the same
         submit_key returns the original job with 200, not a twin."""
-        with admission_service(tmp_path, tenant_rate_per_s=100.0) as svc:
-            client = ServiceClient(svc.url, timeout_s=5.0)
+        with admission_service(tmp_path, tenant_rate_per_s=100.0) as svc, \
+                ServiceClient(svc.url, timeout_s=5.0) as client:
             first = client.submit("smoke", tenant="t", submit_key="k1")
             second = client.submit("smoke", tenant="t", submit_key="k1")
             assert first["id"] == second["id"]
@@ -326,8 +334,8 @@ class TestLiveAdmission:
         """Idempotency beats admission: a retried submission that was
         already accepted resolves even while the tenant is throttled."""
         with admission_service(tmp_path, tenant_rate_per_s=0.5,
-                               tenant_burst=1.0) as svc:
-            client = ServiceClient(svc.url, timeout_s=5.0)
+                               tenant_burst=1.0) as svc, \
+                ServiceClient(svc.url, timeout_s=5.0) as client:
             first = client.submit("smoke", tenant="t", submit_key="k1")
             # Bucket is empty now; a *new* submission 429s ...
             with pytest.raises(ServiceError):
@@ -339,9 +347,9 @@ class TestLiveAdmission:
 
     def test_greedy_tenant_cannot_starve_steady(self, tmp_path):
         with admission_service(tmp_path, tenant_rate_per_s=1.0,
-                               tenant_burst=2.0) as svc:
-            greedy = ServiceClient(svc.url, timeout_s=5.0)
-            steady = ServiceClient(svc.url, timeout_s=5.0)
+                               tenant_burst=2.0) as svc, \
+                ServiceClient(svc.url, timeout_s=5.0) as greedy, \
+                ServiceClient(svc.url, timeout_s=5.0) as steady:
             throttled = 0
             for _ in range(6):
                 try:
@@ -355,8 +363,8 @@ class TestLiveAdmission:
                                  tenant="steady")["state"] == "queued"
 
     def test_queue_limit_over_http(self, tmp_path):
-        with admission_service(tmp_path, queue_limit=2) as svc:
-            client = ServiceClient(svc.url, timeout_s=5.0)
+        with admission_service(tmp_path, queue_limit=2) as svc, \
+                ServiceClient(svc.url, timeout_s=5.0) as client:
             client.submit("smoke", tenant="t")
             client.submit("smoke", tenant="t")
             with pytest.raises(ServiceError) as excinfo:
@@ -367,8 +375,9 @@ class TestLiveAdmission:
 
     def test_stats_reports_admission_config(self, tmp_path):
         with admission_service(tmp_path, tenant_rate_per_s=3.0,
-                               queue_limit=9) as svc:
-            stats = ServiceClient(svc.url, timeout_s=5.0).stats()
+                               queue_limit=9) as svc, \
+                ServiceClient(svc.url, timeout_s=5.0) as client:
+            stats = client.stats()
         assert stats["admission"]["tenant_rate_per_s"] == 3.0
         assert stats["admission"]["queue_limit"] == 9
         assert stats["chaos"] is None
@@ -376,13 +385,10 @@ class TestLiveAdmission:
     def test_client_retry_honors_retry_after_and_converges(self, tmp_path):
         """End to end: a throttled retrying client eventually gets in
         once the bucket refills (Retry-After tells it when)."""
+        retry = RetryPolicy(max_attempts=6, base_s=0.01, cap_s=0.5, seed=0)
         with admission_service(tmp_path, tenant_rate_per_s=5.0,
-                               tenant_burst=1.0) as svc:
-            client = ServiceClient(
-                svc.url, timeout_s=5.0,
-                retry=RetryPolicy(max_attempts=6, base_s=0.01,
-                                  cap_s=0.5, seed=0),
-            )
+                               tenant_burst=1.0) as svc, \
+                ServiceClient(svc.url, timeout_s=5.0, retry=retry) as client:
             first = client.submit("smoke", tenant="t")
             second = client.submit("smoke", tenant="t")  # retries the 429
             assert first["id"] != second["id"]
